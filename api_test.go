@@ -168,16 +168,8 @@ func TestConnectOptionValidation(t *testing.T) {
 		option string // the option the error must name
 		opts   []reo.ConnectOption
 	}{
-		{"workers without regions", "WithWorkers",
-			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionOff), reo.WithWorkers(2)}},
-		{"workers with components", "WithWorkers",
-			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionComponents), reo.WithWorkers(2)}},
 		{"runtime without regions", "WithRuntime",
 			[]reo.ConnectOption{reo.WithRuntime(nil)}},
-		{"runtime plus workers", "WithRuntime",
-			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(nil), reo.WithWorkers(2)}},
-		{"reuse plus workers", "WithReuse",
-			[]reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(2), reo.WithReuse(true)}},
 		{"negative state cache", "WithStateCache",
 			[]reo.ConnectOption{reo.WithStateCache(-1, reo.LRU)}},
 		{"negative max states", "WithMaxStates",
@@ -212,8 +204,10 @@ func TestConnectOptionValidation(t *testing.T) {
 	}
 
 	// The valid combinations still connect.
+	rt := reo.NewRuntime(2)
+	defer rt.Close()
 	for _, opts := range [][]reo.ConnectOption{
-		{reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(2)},
+		{reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt)},
 		{reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(nil), reo.WithReuse(true)},
 		{reo.WithStateCache(0, reo.LRU)},
 	} {
@@ -222,5 +216,59 @@ func TestConnectOptionValidation(t *testing.T) {
 			t.Fatalf("valid options rejected: %v", err)
 		}
 		inst.Close()
+	}
+}
+
+// TestConnectOnClosedRuntime: a Runtime whose workers Close has stopped
+// can run nothing, so Connect onto it must fail with ErrRuntimeClosed —
+// built fresh or popped from the WithReuse pool — instead of returning
+// an instance whose first Send/Recv hangs forever.
+func TestConnectOnClosedRuntime(t *testing.T) {
+	conn := reo.MustCompile(`AsyncMerger(in[];out) = Merger(in[1..#in];m) mult Fifo1(m;out)`).
+		MustConnector("AsyncMerger")
+	// roundTrip connects on rt and moves one value through the instance,
+	// returning the first error; a value that does not arrive within the
+	// deadline fails the test instead of hanging it.
+	roundTrip := func(rt *reo.Runtime, extra ...reo.ConnectOption) error {
+		t.Helper()
+		opts := append([]reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt)}, extra...)
+		inst, err := conn.Connect(map[string]int{"in": 2}, opts...)
+		if err != nil {
+			return err
+		}
+		defer inst.Close()
+		done := make(chan error, 1)
+		go func() {
+			if err := inst.Outports("in")[0].Send(1); err != nil {
+				done <- err
+				return
+			}
+			_, err := inst.Inport("out").Recv()
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("Connect succeeded but the instance moved no value within 5s")
+			return nil
+		}
+	}
+
+	fresh := reo.NewRuntime(1)
+	fresh.Close()
+	if err := roundTrip(fresh); !errors.Is(err, reo.ErrRuntimeClosed) {
+		t.Errorf("fresh Connect on a closed runtime: err = %v, want ErrRuntimeClosed", err)
+	}
+
+	// A WithReuse instance parked (still attached) on a runtime that is
+	// closed afterwards must not be handed out again.
+	pooled := reo.NewRuntime(1)
+	if err := roundTrip(pooled, reo.WithReuse(true)); err != nil {
+		t.Fatalf("Connect on an open runtime: %v", err)
+	}
+	pooled.Close()
+	if err := roundTrip(pooled, reo.WithReuse(true)); !errors.Is(err, reo.ErrRuntimeClosed) {
+		t.Errorf("pooled Connect on a closed runtime: err = %v, want ErrRuntimeClosed", err)
 	}
 }

@@ -1,7 +1,7 @@
 // BenchmarkInstanceChurn and BenchmarkManyInstances measure the
 // multi-instance serving path: alloc-cheap Connect/Close churn on the
-// shared process runtime (reo.WithRuntime + reo.WithReuse) against the
-// per-instance dedicated worker pool, and the steady-state fire rate
+// shared process runtime (reo.WithRuntime + reo.WithReuse) against a
+// private per-instance worker pool, and the steady-state fire rate
 // with many connector instances live at once. `reoc bench-instances`
 // runs the same cells standalone for the CI perf gate.
 package reo_test
@@ -16,29 +16,31 @@ import (
 const churnProto = `Churn(a;b) = Fifo1(a;b)`
 
 // BenchmarkInstanceChurn times one full Connect → Send → Recv → Close
-// cycle per iteration. "dedicated" builds a fresh coordinator and
-// worker pool each cycle; "shared" multiplexes onto the process-global
-// runtime and recycles the instance through the template pool, so the
-// cycle allocates (almost) nothing.
+// cycle per iteration. "dedicated" builds a fresh coordinator and a
+// private one-worker pool (NewRuntime(1), closed after the instance)
+// each cycle; "shared" multiplexes onto the process-global runtime and
+// recycles the instance through the template pool, so the cycle
+// allocates (almost) nothing.
 func BenchmarkInstanceChurn(b *testing.B) {
 	prog := reo.MustCompile(churnProto)
 	conn, err := prog.Connector("Churn")
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		opts []reo.ConnectOption
-	}{
-		{"dedicated", []reo.ConnectOption{
-			reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(2)}},
-		{"shared", []reo.ConnectOption{
-			reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(nil), reo.WithReuse(true)}},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
+	for _, shared := range []bool{false, true} {
+		name := "dedicated"
+		if shared {
+			name = "shared"
+		}
+		b.Run(name, func(b *testing.B) {
 			cycle := func() error {
-				inst, err := conn.Connect(nil, m.opts...)
+				rt := reo.DefaultRuntime()
+				if !shared {
+					rt = reo.NewRuntime(1)
+					defer rt.Close()
+				}
+				inst, err := conn.Connect(nil,
+					reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt), reo.WithReuse(shared))
 				if err != nil {
 					return err
 				}

@@ -24,7 +24,7 @@ func main() {
 		reps      = flag.Int("reps", 1, "repetitions per configuration (best time reported)")
 		batch     = flag.Int("batch", 1, "scatter/gather batching degree: work units per slave per round, moved as one batched port operation (1 = the paper's structure)")
 		partition = flag.String("partition", "off", "partition the Reo connectors: off, components (§V-C(3) fix), or regions (buffer-boundary cut)")
-		workers   = flag.Int("workers", 0, "scheduler workers for partition=regions (0 = synchronous, <0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "scheduler workers for partition=regions, one pool shared by every instance of the run (0 = synchronous, <0 = GOMAXPROCS)")
 		fullExp   = flag.Bool("full-expansion", false, "textbook joint enumeration (reproduces the §V-C(3) blow-up)")
 		backend   = flag.String("backend", "interpreted", "Reo-variant backend: interpreted (the connector engine) or generated (static parametric code, `reoc gen -parametric`)")
 		jsonPath  = flag.String("json", "", "also write machine-readable results (BENCH_fig13.json schema, fig12 -json parity) to this file")
@@ -41,6 +41,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	var rt *reo.Runtime
+	if *workers != 0 {
+		rt = reo.NewRuntime(*workers)
+		defer rt.Close()
+	}
 	var opts []reo.ConnectOption
 	var genOpts []msfabric.Option
 	switch *partition {
@@ -49,8 +54,8 @@ func main() {
 		opts = append(opts, reo.WithPartitioning(reo.PartitionComponents))
 	case "regions":
 		opts = append(opts, reo.WithPartitioning(reo.PartitionRegions))
-		if *workers != 0 {
-			opts = append(opts, reo.WithWorkers(*workers))
+		if rt != nil {
+			opts = append(opts, reo.WithRuntime(rt))
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "fig13: bad -partition %q (off|components|regions)\n", *partition)
@@ -61,8 +66,8 @@ func main() {
 	}
 	// The generated runtime always runs region-partitioned; of the
 	// interpreted knobs only the worker pool carries over.
-	if *workers != 0 {
-		genOpts = append(genOpts, msfabric.WithWorkers(*workers))
+	if rt != nil {
+		genOpts = append(genOpts, msfabric.WithRuntime(rt))
 	}
 	npb.DefaultReoOptions = npb.ReoCommOptions{Opts: opts, GenOpts: genOpts}
 	if *batch < 1 {

@@ -157,8 +157,10 @@ func main() {
 		// connect options).
 		var opts []reo.ConnectOption
 		if workers != 0 {
+			rt := reo.NewRuntime(workers)
+			defer rt.Close()
 			opts = append(opts,
-				reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(workers))
+				reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt))
 		}
 		inst := connectInstanceOpts(string(src), name, n, opts...)
 		defer inst.Close()
@@ -373,8 +375,8 @@ func benchGen(outPath string, rest []string) {
 }
 
 // benchInstances runs the multi-instance serving cells — InstanceChurn
-// (full Connect/fire/Close cycles, dedicated pool vs shared runtime
-// with pooled reuse) and ManyInstances (round-robin fires across many
+// (full Connect/fire/Close cycles, a private pool per cycle vs the
+// shared runtime with pooled reuse) and ManyInstances (round-robin fires across many
 // live instances on the shared runtime) — and writes perf-gate rows,
 // best of -reps runs per cell.
 func benchInstances(outPath string, rest []string) {
@@ -484,7 +486,7 @@ func exploreCmd(rest []string) {
 	rounds := fs.Int("rounds", 50, "exploration rounds")
 	maxOps := fs.Int("max-ops", 24, "schedule token budget per round")
 	maxPrims := fs.Int("max-prims", 8, "connector primitive budget per round")
-	backends := fs.String("backends", "all", `lanes to compare: "all" or comma-separated of gen, workers, runtime, batch2, off, components, aot`)
+	backends := fs.String("backends", "all", `lanes to compare: "all" or comma-separated of gen, runtime, batch2, off, components, aot`)
 	shrink := fs.Bool("shrink", true, "minimize the failing case before reporting")
 	selfcheck := fs.Bool("selfcheck-mutate", false, "inject the candidate-ordering mutation into the generated lane; the run must detect it")
 	verbose := fs.Bool("v", false, "per-round progress")

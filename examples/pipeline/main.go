@@ -63,8 +63,10 @@ func main() {
 	run(prog, *n, *items, reo.PartitionOff)
 	fmt.Println("\n== asynchronous regions (PartitionRegions) ==")
 	run(prog, *n, *items, reo.PartitionRegions)
-	fmt.Println("\n== worker scheduler (PartitionRegions + WithWorkers) ==")
-	run(prog, *n, *items, reo.PartitionRegions, reo.WithWorkers(-1))
+	fmt.Println("\n== worker scheduler (PartitionRegions + WithRuntime) ==")
+	rt := reo.NewRuntime(0) // GOMAXPROCS workers, shared by both instances
+	run(prog, *n, *items, reo.PartitionRegions, reo.WithRuntime(rt))
+	rt.Close()
 
 	fmt.Printf("\n== scalar vs batched ports (%d stages, %d items) ==\n", *n, *benchItems)
 	scalarRate := throughput(*n, *benchItems, 1)
@@ -166,7 +168,7 @@ func run(prog *reo.Program, n, items int, mode reo.PartitionMode, extra ...reo.C
 		lanesInst.Steps(), lanesInst.Partitions(), repInst.Steps(), repInst.Partitions())
 	if mode == reo.PartitionRegions {
 		if w := lanesInst.Workers(); w > 0 {
-			fmt.Printf("  scheduler: %d worker(s) for lanes, %d for reports\n", w, repInst.Workers())
+			fmt.Printf("  scheduler: %d worker(s) shared by lanes and reports\n", w)
 		}
 		for ri, info := range lanesInst.Regions() {
 			fmt.Printf("  lanes region %d: %d constituents, %d link endpoint(s), %d steps%s\n",

@@ -259,7 +259,6 @@ func (r *pickRNG) intn(n int) int {
 // config collects instance options.
 type config struct {
 	seed    int64
-	workers int
 	filters map[string]func(any) bool
 	xforms  map[string]func(any) any
 }
@@ -270,13 +269,6 @@ type Option func(*config)
 // WithSeed fixes the seed resolving nondeterministic transition choice,
 // for reproducible runs (the interpreted engine's WithSeed).
 func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
-
-// WithWorkers records the requested worker-pool size for interface
-// parity with the interpreted engine. The generated backend always
-// fires on the operating goroutine under one lock — dispatch is
-// compiled, not scheduled — so the value is reported by Workers() but
-// does not change execution.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithFuncs registers the data functions the connector's guards and
 // transformations reference by name. New fails if a referenced name is
@@ -297,7 +289,6 @@ type Instance struct {
 	rng     pickRNG
 	closed  bool
 	broken  error
-	workers int
 	filters [numFilters]func(any) bool
 	xforms  [numXforms]func(any) any
 	opPool  sync.Pool
@@ -314,9 +305,8 @@ func New(opts ...Option) (*Instance, error) {
 		o(&cfg)
 	}
 	m := &Instance{
-		state:   initialState,
-		cells:   initialCells(),
-		workers: cfg.workers,
+		state: initialState,
+		cells: initialCells(),
 	}
 	m.rng.reseed(cfg.seed)
 	for i, name := range filterNames {
@@ -642,10 +632,6 @@ func (m *Instance) GuardEvals() int64 { return m.guardEvals.Load() }
 // OpsRegistered returns how many port operations have ever been
 // accepted for pending (monotonic).
 func (m *Instance) OpsRegistered() int64 { return m.registered.Load() }
-
-// Workers reports the worker-pool size requested with WithWorkers. The
-// generated backend executes synchronously regardless; see WithWorkers.
-func (m *Instance) Workers() int { return m.workers }
 
 // States and Transitions report the compiled automaton's size.
 func (m *Instance) States() int { return numStates }

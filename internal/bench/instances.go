@@ -14,8 +14,8 @@ import (
 // cells land in the perf-gate schema:
 //
 //   - InstanceChurn: a full Connect → Send → Recv → Close cycle per
-//     iteration. "churn-dedicated" pays a worker-pool spin-up and
-//     tear-down plus a fresh coordinator build per cycle (the
+//     iteration. "churn-dedicated" pays a private worker-pool spin-up
+//     and tear-down plus a fresh coordinator build per cycle (the
 //     per-instance-pool baseline); "churn-shared" connects onto the
 //     shared process runtime with pooled reuse (WithRuntime +
 //     WithReuse), so a cycle is a pool pop, one value moved, and a
@@ -26,9 +26,9 @@ import (
 //     the steady-state serving shape (reo-serve's inner loop); ops/s is
 //     the rate and the fire path is alloc-free.
 
-// churnSrc is the per-session connector: one buffered lane, the
-// smallest shape that still exercises a region cut (two synchronous
-// regions joined by one link) and therefore the scheduler.
+// churnSrc is the per-session connector: one buffered lane. A lone
+// buffer is not cut, so it plans a single region, which still fires on
+// the scheduler.
 const churnSrc = `Churn(a;b) = Fifo1(a;b)`
 
 var churnProg = reo.MustCompile(churnSrc)
@@ -51,22 +51,15 @@ func (r InstanceResult) OpsPerSec() float64 {
 }
 
 // RunInstanceChurn times `cycles` full Connect/fire/Close cycles.
-// shared=false builds each instance on its own dedicated worker pool
-// (the baseline this PR replaces); shared=true multiplexes cycles over
-// the process-global runtime with pooled instance reuse.
+// shared=false starts and closes a private one-worker pool per cycle
+// (NewRuntime(1) + WithRuntime, the per-instance-pool baseline; one
+// worker because the churn connector plans a single region);
+// shared=true multiplexes cycles over the process-global runtime with
+// pooled instance reuse.
 func RunInstanceChurn(cycles int, shared bool) (InstanceResult, error) {
 	res := InstanceResult{Approach: "churn-dedicated", Instances: 1, Ops: cycles}
-	opts := []reo.ConnectOption{
-		reo.WithPartitioning(reo.PartitionRegions),
-		reo.WithWorkers(2),
-	}
 	if shared {
 		res.Approach = "churn-shared"
-		opts = []reo.ConnectOption{
-			reo.WithPartitioning(reo.PartitionRegions),
-			reo.WithRuntime(nil), // process-global default runtime
-			reo.WithReuse(true),
-		}
 	}
 	if cycles < 1 {
 		return res, fmt.Errorf("bench: bad churn config (cycles=%d)", cycles)
@@ -76,7 +69,16 @@ func RunInstanceChurn(cycles int, shared bool) (InstanceResult, error) {
 		return res, err
 	}
 	cycle := func() error {
-		inst, err := conn.Connect(nil, opts...)
+		rt := reo.DefaultRuntime()
+		if !shared {
+			rt = reo.NewRuntime(1)
+			defer rt.Close()
+		}
+		inst, err := conn.Connect(nil,
+			reo.WithPartitioning(reo.PartitionRegions),
+			reo.WithRuntime(rt),
+			reo.WithReuse(shared),
+		)
 		if err != nil {
 			return err
 		}

@@ -47,17 +47,11 @@ type Options struct {
 	MaxStates int
 	// MaxTauBurst bounds consecutive internal steps (0 = 1<<20).
 	MaxTauBurst int
-	// Workers selects the dedicated concurrent runtime for
-	// NewMultiRegions: the number of pool workers region engines fire on
-	// (capped at the region count), with cross-region nudges posted as
-	// wake-ups. 0 runs the synchronous nudge-draining path on the
-	// callers' goroutines; negative means GOMAXPROCS. Ignored outside
-	// region partitioning, and mutually exclusive with Runtime.
-	Workers int
-	// Runtime attaches the region engines to a shared worker pool
-	// (runtime.go) instead of starting a dedicated one: many instances
-	// multiplex over its fixed workers, and Close detaches rather than
-	// tearing the pool down. Only meaningful for NewMultiRegions.
+	// Runtime attaches the region engines of NewMultiRegions to a
+	// caller-owned worker pool (runtime.go): cross-region nudges are
+	// posted to its workers as wake-ups, and Close detaches the regions
+	// rather than tearing the pool down. nil runs the synchronous
+	// nudge-draining path on the callers' goroutines.
 	Runtime *Runtime
 }
 
@@ -143,9 +137,8 @@ type Engine struct {
 
 	// Worker-runtime support (runtime.go). sched is non-nil when the
 	// engine is a region of a coordinator attached to a Runtime
-	// (dedicated via Options.Workers, or shared via Options.Runtime);
-	// nudges are then posted to it as wake-ups instead of drained
-	// inline. schedState is the engine's run state (idle/queued/running/
+	// (Options.Runtime); nudges are then posted to it as wake-ups
+	// instead of drained inline. schedState is the engine's run state (idle/queued/running/
 	// dirty) advanced by CAS; homeWorker the queue assignment of the
 	// current attach. fireCompleted/fireLinkActive report, per fireLoop
 	// call (under mu), whether the pass moved any boundary operation

@@ -37,9 +37,8 @@ type Multi struct {
 	// transport is the placement's link transport (nil for a fully
 	// local coordinator); closed by Close after the engines.
 	transport Transport
-	// sched is the worker pool regions fire on (nil in synchronous
-	// mode): a dedicated pool owned by this coordinator, or a shared
-	// Runtime multiplexing many coordinators (see runtime.go).
+	// sched is the caller-owned worker pool regions fire on (nil in
+	// synchronous mode; see runtime.go).
 	sched *Runtime
 
 	// closeMu serializes Close and Reset; closed makes Close idempotent
@@ -222,12 +221,11 @@ func (m *Multi) RecvBatch(p ca.PortID, buf []any) (int, error) {
 	return e.RecvBatch(p, buf)
 }
 
-// Close closes all partitions, then quiesces the worker pool (if any):
-// a dedicated pool is shut down and its workers joined; a shared
-// Runtime has the regions detached from it instead, leaving the pool
-// running for its other instances. Pending operations in every region
-// fail with ErrClosed first, so no in-flight fire pass can complete new
-// work after Close returns. Idempotent and safe to call concurrently:
+// Close closes all partitions, then detaches the regions from the
+// worker pool (if any), leaving the pool running for its other
+// instances. Pending operations in every region fail with ErrClosed
+// first, so no in-flight fire pass can complete new work after Close
+// returns. Idempotent and safe to call concurrently:
 // every call returns only after the coordinator is fully closed.
 func (m *Multi) Close() error {
 	m.closeMu.Lock()
@@ -240,11 +238,7 @@ func (m *Multi) Close() error {
 		e.Close()
 	}
 	if m.sched != nil {
-		if m.sched.dedicated {
-			m.sched.shutdown()
-		} else {
-			m.sched.detach(m.live())
-		}
+		m.sched.detach(m.live())
 	}
 	if m.transport != nil {
 		// After the engines: pumps observing closed engines drain and
@@ -257,18 +251,15 @@ func (m *Multi) Close() error {
 // Reset returns a closed coordinator to its as-constructed state so the
 // instance can be recycled instead of rebuilt: engines are reset (see
 // Engine.Reset), link queues emptied and re-seeded from the region
-// plan, and the regions re-settled — re-attached to the shared Runtime,
-// or settled synchronously. Fails if the coordinator is still open, or
-// if it owns a dedicated worker pool (that pool was torn down by Close;
-// use a shared Runtime for instances meant to be recycled).
+// plan, and the regions re-settled — re-attached to the Runtime, or
+// settled synchronously. Fails if the coordinator is still open, if it
+// is remote-placed, or if its Runtime has been closed since (the
+// coordinator then stays closed).
 func (m *Multi) Reset() error {
 	m.closeMu.Lock()
 	defer m.closeMu.Unlock()
 	if !m.closed {
 		return errors.New("engine: reset of an open coordinator")
-	}
-	if m.sched != nil && m.sched.dedicated {
-		return errors.New("engine: reset of a dedicated-runtime coordinator")
 	}
 	if m.transport != nil {
 		// A placed coordinator's transport tore its connections down at
@@ -298,14 +289,19 @@ func (m *Multi) Reset() error {
 		}
 		e.mu.Unlock()
 	}
-	m.closed = false
 	if m.sched != nil {
-		m.sched.attach(m.engines)
+		if err := m.sched.attach(m.engines); err != nil {
+			for _, e := range m.engines {
+				e.Close()
+			}
+			return err
+		}
 	} else {
 		for _, e := range m.engines {
 			e.settle()
 		}
 	}
+	m.closed = false
 	return nil
 }
 

@@ -666,21 +666,18 @@ func newMultiRegions(u *ca.Universe, auts []*ca.Automaton, opts Options, placed 
 		m.Close()
 		return nil, fmt.Errorf("engine: transport: %w", err)
 	}
-	switch {
-	case opts.Runtime != nil:
-		// Shared runtime: the regions multiplex over an existing
-		// process-wide pool. attach posts the initial wake of every
-		// region, replacing the synchronous settle — relay fires enabled
-		// by initially full links happen on the workers before (or
-		// concurrently with) the first Send/Recv, which parks until a
-		// fire completes its operation either way.
+	if opts.Runtime != nil {
+		// The regions multiplex over the caller's pool. attach posts the
+		// initial wake of every region, replacing the synchronous settle
+		// — relay fires enabled by initially full links happen on the
+		// workers before (or concurrently with) the first Send/Recv,
+		// which parks until a fire completes its operation either way.
+		if err := opts.Runtime.attach(group.engines); err != nil {
+			m.Close()
+			return nil, err
+		}
 		m.sched = opts.Runtime
-		m.sched.attach(group.engines)
-	case opts.Workers != 0:
-		// Dedicated runtime (runtime.go): a worker pool owned by this
-		// coordinator, sized by the caller and torn down at Close.
-		m.sched = newDedicatedRuntime(opts.Workers, group.engines)
-	default:
+	} else {
 		// Settle initially full links (Fifo1Full seeds) so relay fires
 		// that need no task operation happen before the first Send/Recv.
 		for _, e := range group.engines {

@@ -1,29 +1,27 @@
 package engine
 
 import (
+	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the concurrent runtime for region-partitioned
 // connectors: a fixed worker pool that runs region engines in response
-// to wake-ups. In synchronous mode (no Workers, no Runtime) every
-// cross-region nudge is drained inline by the goroutine that fired
-// (region.go, processNudges), so a connector cut into eight regions
-// still burns one core; with a runtime, a nudge becomes a wake-up
-// posted to the pool and the affected regions fire concurrently.
+// to wake-ups. In synchronous mode (no Runtime) every cross-region
+// nudge is drained inline by the goroutine that fired (region.go,
+// processNudges), so a connector cut into eight regions still burns one
+// core; with a runtime, a nudge becomes a wake-up posted to the pool and
+// the affected regions fire concurrently.
 //
-// A Runtime comes in two flavors sharing all of the machinery:
-//
-//   - dedicated: owned by one Multi (Options.Workers != 0), sized by
-//     the caller and capped at the region count, shut down when the
-//     instance closes — the historical per-instance pool.
-//   - shared: process-wide (DefaultRuntime, or any NewRuntime the
-//     caller keeps), sized at GOMAXPROCS, multiplexing the regions of
-//     arbitrarily many instances over one fixed set of workers.
-//     Instances attach at construction and detach at Close; the pool
-//     itself is never torn down between instances, so Connect/Close
-//     churn spawns no goroutines.
+// A Runtime is owned by its caller: NewRuntime starts one that the
+// caller closes once every instance attached to it has closed, and
+// DefaultRuntime is the process-wide pool that is never closed. Either
+// way it multiplexes the regions of arbitrarily many instances over one
+// fixed set of workers. Instances attach at construction and detach at
+// Close; the pool itself outlives them, so Connect/Close churn spawns
+// no goroutines.
 //
 // Each engine carries a run state (idle / queued / running / dirty)
 // advanced by compare-and-swap, which both deduplicates wake-ups (an
@@ -86,10 +84,10 @@ func (r *engineRing) pop() *Engine {
 	return e
 }
 
-// Runtime is a worker pool multiplexing region engines — of one
-// connector instance (dedicated mode) or of arbitrarily many (shared
-// mode) — over a fixed set of goroutines. The zero value is not usable;
-// build one with NewRuntime or use DefaultRuntime.
+// Runtime is a worker pool multiplexing the region engines of any
+// number of connector instances over a fixed set of goroutines. The
+// zero value is not usable; build one with NewRuntime or use
+// DefaultRuntime.
 type Runtime struct {
 	mu sync.Mutex
 	// queues[w] is worker w's FIFO run queue. One mutex guards them
@@ -99,18 +97,21 @@ type Runtime struct {
 	queues   []engineRing
 	cond     *sync.Cond
 	sleeping int
-	closed   bool
-	wg       sync.WaitGroup
+	// closed is set under mu by Close; atomic so Closed can read it
+	// without taking the runtime lock.
+	closed atomic.Bool
+	wg     sync.WaitGroup
 	// nextHome hands out home workers round-robin across attach calls,
 	// so the instances of a shared runtime spread over the pool instead
 	// of all landing on worker 0.
 	nextHome int
 	// attached counts currently attached engines (diagnostics).
 	attached int
-	// dedicated marks a pool owned by a single Multi: Close of that
-	// Multi shuts the pool down instead of detaching from it.
-	dedicated bool
 }
+
+// ErrRuntimeClosed is returned when an instance would attach to a
+// Runtime whose workers have already been stopped by Close.
+var ErrRuntimeClosed = errors.New("engine: runtime is closed")
 
 // defaultRuntime is the lazily started process-global pool backing
 // instances connected with WithRuntime(nil).
@@ -128,38 +129,15 @@ func DefaultRuntime() *Runtime {
 	return defaultRuntime
 }
 
-// NewRuntime starts a shared runtime with the given number of workers
-// (<= 0 selects GOMAXPROCS). Instances attach to it via
-// Options.Runtime; Close stops the workers and must only be called
-// after every attached instance has been closed.
+// NewRuntime starts a runtime with the given number of workers (<= 0
+// selects GOMAXPROCS). Instances attach to it via Options.Runtime; Close
+// stops the workers and must only be called after every attached
+// instance has been closed.
 func NewRuntime(workers int) *Runtime {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return startRuntime(workers, false)
-}
-
-// newDedicatedRuntime starts the per-instance pool of one Multi
-// (Options.Workers != 0): workers < 0 selects GOMAXPROCS, and the pool
-// is capped at the region count (extra workers could never run
-// anything).
-func newDedicatedRuntime(workers int, engines []*Engine) *Runtime {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(engines) {
-		workers = len(engines)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rt := startRuntime(workers, true)
-	rt.attach(engines)
-	return rt
-}
-
-func startRuntime(workers int, dedicated bool) *Runtime {
-	rt := &Runtime{queues: make([]engineRing, workers), dedicated: dedicated}
+	rt := &Runtime{queues: make([]engineRing, workers)}
 	rt.cond = sync.NewCond(&rt.mu)
 	rt.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -179,14 +157,22 @@ func (rt *Runtime) Attached() int {
 	return rt.attached
 }
 
+// Closed reports whether Close has stopped the workers.
+func (rt *Runtime) Closed() bool { return rt.closed.Load() }
+
 // attach hands a fresh (or recycled) instance's engines to the pool:
 // assigns home workers, then posts the initial wake of every region —
 // the worker-pool replacement for the synchronous settle, since
 // initially full links can enable relay fires before any task
 // operation arrives. The engines must be quiescent (schedIdle) and not
-// attached to any runtime.
-func (rt *Runtime) attach(engines []*Engine) {
+// attached to any runtime. A closed runtime refuses the engines with
+// ErrRuntimeClosed: its workers are gone, so no wake would ever run.
+func (rt *Runtime) attach(engines []*Engine) error {
 	rt.mu.Lock()
+	if rt.closed.Load() {
+		rt.mu.Unlock()
+		return ErrRuntimeClosed
+	}
 	for _, e := range engines {
 		e.sched = rt
 		e.homeWorker = int32(rt.nextHome % len(rt.queues))
@@ -198,6 +184,7 @@ func (rt *Runtime) attach(engines []*Engine) {
 	for _, e := range engines {
 		rt.wake(e)
 	}
+	return nil
 }
 
 // detach returns a closing instance's engines to the quiescent state so
@@ -252,7 +239,7 @@ func (rt *Runtime) wake(e *Engine) {
 
 func (rt *Runtime) enqueue(e *Engine) {
 	rt.mu.Lock()
-	if rt.closed {
+	if rt.closed.Load() {
 		// Workers are gone; the engine is (being) closed too, so the
 		// pass it asked for has nothing left to do.
 		rt.mu.Unlock()
@@ -271,7 +258,7 @@ func (rt *Runtime) next(w int) *Engine {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for {
-		if rt.closed {
+		if rt.closed.Load() {
 			return nil
 		}
 		if e := rt.queues[w].pop(); e != nil {
@@ -350,20 +337,17 @@ func (rt *Runtime) runEngine(e *Engine) {
 // nothing to fire. The process-global DefaultRuntime is never closed.
 func (rt *Runtime) Close() error {
 	rt.mu.Lock()
-	if rt.closed {
+	if rt.closed.Load() {
 		rt.mu.Unlock()
 		rt.wg.Wait()
 		return nil
 	}
-	rt.closed = true
+	rt.closed.Store(true)
 	rt.cond.Broadcast()
 	rt.mu.Unlock()
 	rt.wg.Wait()
 	return nil
 }
-
-// shutdown is Close under its historical (dedicated-pool) name.
-func (rt *Runtime) shutdown() { rt.Close() }
 
 // flushWakes posts the cross-region wake-ups collected by this engine's
 // fires to its runtime and resets the buffer in place, so the scheduler

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +29,9 @@ func waitForErr(t *testing.T, ch <-chan error, timeout time.Duration, what strin
 // TestWorkersChainEndToEnd runs the cut chain on a 2-worker scheduler:
 // values must arrive in order, and the pool size must be reported.
 func TestWorkersChainEndToEnd(t *testing.T) {
-	m, a, b := regionChain(t, engine.Options{Workers: 2})
+	rt := engine.NewRuntime(2)
+	defer rt.Close()
+	m, a, b := regionChain(t, engine.Options{Runtime: rt})
 	defer m.Close()
 	if m.Workers() != 2 {
 		t.Fatalf("Workers() = %d, want 2", m.Workers())
@@ -60,25 +61,6 @@ func TestWorkersChainEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWorkersPoolCaps checks the worker-count normalization: negative
-// selects GOMAXPROCS, and the pool never exceeds the region count.
-func TestWorkersPoolCaps(t *testing.T) {
-	m, _, _ := regionChain(t, engine.Options{Workers: -1})
-	defer m.Close()
-	want := runtime.GOMAXPROCS(0)
-	if want > m.Partitions() {
-		want = m.Partitions()
-	}
-	if m.Workers() != want {
-		t.Errorf("Workers() = %d, want %d (GOMAXPROCS capped at regions)", m.Workers(), want)
-	}
-	m2, _, _ := regionChain(t, engine.Options{Workers: 64})
-	defer m2.Close()
-	if m2.Workers() != m2.Partitions() {
-		t.Errorf("Workers() = %d, want %d (capped at regions)", m2.Workers(), m2.Partitions())
-	}
-}
-
 // TestWorkersInitiallyFullLink: the workers' initial wake must settle
 // seeded links, so the seed value is deliverable with no send.
 func TestWorkersInitiallyFullLink(t *testing.T) {
@@ -87,7 +69,9 @@ func TestWorkersInitiallyFullLink(t *testing.T) {
 	u.SetDir(a, ca.DirSource)
 	u.SetDir(b, ca.DirSink)
 	auts := []*ca.Automaton{prim.Sync(u, a, x), prim.Fifo1Full(u, x, y, "seed"), prim.Sync(u, y, b)}
-	m, err := engine.NewMultiRegions(u, auts, engine.Options{Workers: 2})
+	rt := engine.NewRuntime(2)
+	defer rt.Close()
+	m, err := engine.NewMultiRegions(u, auts, engine.Options{Runtime: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +87,11 @@ func TestWorkersInitiallyFullLink(t *testing.T) {
 }
 
 // TestWorkersCloseDuringParkedRecv: Close must fail a Recv parked on
-// its wait slot while the scheduler is live, and shut the pool down.
+// its wait slot while the scheduler is live, and detach from the pool.
 func TestWorkersCloseDuringParkedRecv(t *testing.T) {
-	m, _, b := regionChain(t, engine.Options{Workers: 2})
+	rt := engine.NewRuntime(2)
+	defer rt.Close()
+	m, _, b := regionChain(t, engine.Options{Runtime: rt})
 	parked := make(chan error, 1)
 	go func() {
 		_, err := m.Recv(b)
@@ -120,9 +106,12 @@ func TestWorkersCloseDuringParkedRecv(t *testing.T) {
 	if err := waitForErr(t, parked, 2*time.Second, "parked recv"); err != engine.ErrClosed {
 		t.Errorf("parked recv error = %v, want ErrClosed", err)
 	}
-	// Close is idempotent with the scheduler shut down.
+	// Close is idempotent once detached.
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := rt.Attached(); got != 0 {
+		t.Errorf("Attached() = %d after Close, want 0", got)
 	}
 }
 
@@ -141,7 +130,9 @@ func TestWorkersGroupErrorMidNudge(t *testing.T) {
 		prim.Fifo1(u, y, x),                   // spins forever
 		prim.Fifo1(u, a, b),                   // innocent sibling region
 	}
-	m, err := engine.NewMultiRegions(u, auts, engine.Options{Workers: 2, MaxTauBurst: 500})
+	rt := engine.NewRuntime(2)
+	defer rt.Close()
+	m, err := engine.NewMultiRegions(u, auts, engine.Options{Runtime: rt, MaxTauBurst: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +152,9 @@ func TestWorkersGroupErrorMidNudge(t *testing.T) {
 // TestWorkersAssignmentReported: region-partitioned Infos must report a
 // home worker in worker mode and -1 in synchronous mode.
 func TestWorkersAssignmentReported(t *testing.T) {
-	m, _, _ := regionChain(t, engine.Options{Workers: 2})
+	rt := engine.NewRuntime(2)
+	defer rt.Close()
+	m, _, _ := regionChain(t, engine.Options{Runtime: rt})
 	defer m.Close()
 	seen := map[int]bool{}
 	for i, in := range m.Infos() {
@@ -206,7 +199,9 @@ func TestWorkersSchedulerDrainRace(t *testing.T) {
 		// region, so every value crosses two links and a scheduled hop.
 		auts = append(auts, prim.Fifo1(u, a, mid), prim.Fifo1(u, mid, b))
 	}
-	m, err := engine.NewMultiRegions(u, auts, engine.Options{Workers: -1})
+	rt := engine.NewRuntime(0)
+	defer rt.Close()
+	m, err := engine.NewMultiRegions(u, auts, engine.Options{Runtime: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +251,9 @@ func TestWorkersSchedulerDrainRace(t *testing.T) {
 }
 
 // --- shared-runtime tests ---------------------------------------------
-// The tests below run coordinators on an explicit shared Runtime (the
+// The tests below multiplex several coordinators on one Runtime (the
 // engine.Options.Runtime path Connect's WithRuntime uses), where Close
-// detaches the instance instead of tearing the pool down.
+// detaches an instance and leaves the pool running for the others.
 
 // TestSharedRuntimeTwoInstances interleaves traffic over two
 // coordinators multiplexed on one 2-worker runtime, then closes one and
@@ -439,5 +434,39 @@ func TestSharedRuntimeLivelockIsolation(t *testing.T) {
 		if v, err := healthy.Recv(b); err != nil || v != i {
 			t.Fatalf("healthy recv %d = %v, %v", i, v, err)
 		}
+	}
+}
+
+// TestClosedRuntimeRefusesAttach: a coordinator cannot attach to a
+// Runtime whose workers Close has stopped — neither at construction nor
+// when a closed coordinator is Reset for recycling — because no wake
+// posted to it would ever run.
+func TestClosedRuntimeRefusesAttach(t *testing.T) {
+	rt := engine.NewRuntime(1)
+	recycled, a, _ := regionChain(t, engine.Options{Runtime: rt})
+	if err := recycled.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rt.Close()
+	if !rt.Closed() {
+		t.Fatal("Closed() = false after Close")
+	}
+
+	u := ca.NewUniverse()
+	x, y := u.Port("x"), u.Port("y")
+	u.SetDir(x, ca.DirSource)
+	u.SetDir(y, ca.DirSink)
+	if _, err := engine.NewMultiRegions(u, []*ca.Automaton{prim.Fifo1(u, x, y)}, engine.Options{Runtime: rt}); !errors.Is(err, engine.ErrRuntimeClosed) {
+		t.Errorf("construct on closed runtime: err = %v, want ErrRuntimeClosed", err)
+	}
+	if err := recycled.Reset(); !errors.Is(err, engine.ErrRuntimeClosed) {
+		t.Errorf("Reset onto closed runtime: err = %v, want ErrRuntimeClosed", err)
+	}
+	// The refused coordinator stays closed rather than half-open.
+	if err := recycled.Send(a, 1); err != engine.ErrClosed {
+		t.Errorf("send after refused Reset = %v, want ErrClosed", err)
+	}
+	if got := rt.Attached(); got != 0 {
+		t.Errorf("Attached() = %d, want 0", got)
 	}
 }

@@ -28,8 +28,8 @@
 //     (internal/gen.InProcBinder → engine.BindGen → fireLoopGen) shares
 //     its region plan, choice streams, and cooperative scheduling, and
 //     is compared strictly (per-port sequences, Steps, GuardEvals) on
-//     every connector. All other lanes — WithWorkers, WithRuntime,
-//     batch re-chunking, PartitionOff, components, AOT — differ in
+//     every connector. All other lanes — WithRuntime, batch
+//     re-chunking, PartitionOff, components, AOT — differ in
 //     structure or scheduling, so the grammar marks each connector
 //     deterministic (no choice primitives, single-writer vertices) or
 //     choice-bearing, and runOrder compares accordingly: deterministic

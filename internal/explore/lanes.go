@@ -121,8 +121,8 @@ type Lane struct {
 }
 
 // Lanes returns the lane matrix for a backends selector: "all" or a
-// comma-separated subset of gen, workers, runtime, off, components,
-// aot, batch.
+// comma-separated subset of gen, runtime, batch2, off, components,
+// aot.
 var allLanes = []Lane{
 	{Name: "gen", Group: "regions"},
 	// Scheduling lanes drain cross-region propagation eagerly on their
@@ -130,7 +130,6 @@ var allLanes = []Lane{
 	// next operation — decision points (and so merge orders) legitimately
 	// differ, so they are sequence-compared on deterministic connectors
 	// only. Strict parity is the gen lane's contract.
-	{Name: "workers", Group: "single", Async: true, SkipCounters: true},
 	{Name: "runtime", Group: "single", Async: true, SkipCounters: true},
 	// Re-chunking moves the engine's decision points (each op
 	// registration is a dispatch scan), so merge choices resolve at
@@ -143,8 +142,8 @@ var allLanes = []Lane{
 }
 
 // NewBackend builds a fresh instance of the connector for the named
-// lane. The returned close function releases it (lanes with dedicated
-// runtimes tear them down). mutate injects the candidate-ordering
+// lane. The returned close function releases it (the runtime lane also
+// closes its private pool). mutate injects the candidate-ordering
 // off-by-one into the generated lane's templates (mutation self-check
 // only). genBound reports how many regions run generated dispatch (0
 // for interpreted lanes).
@@ -162,23 +161,20 @@ func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend
 		bind, bound := gen.InProcBinder(asm, gen.InProcOptions{MutateRotateCandidates: mutate})
 		coord, err = engine.NewMultiRegionsBound(asm.U, asm.Auts, opts, bind)
 		genBound = *bound
-	case "workers":
-		opts.Workers = 2
-		coord, err = engine.NewMultiRegions(asm.U, asm.Auts, opts)
 	case "runtime":
 		rt := engine.NewRuntime(2)
-		coord, err = engine.NewMultiRegions(asm.U, asm.Auts, withRuntime(opts, rt))
-		if err == nil {
-			inner := coord
-			coord = nil
-			named := engine.NewNamed(inner, namedSources(asm), namedSinks(asm))
-			return named, func() error {
-				cerr := named.Close()
-				rt.Close()
-				return cerr
-			}, 0, nil
+		opts.Runtime = rt
+		coord, err = engine.NewMultiRegions(asm.U, asm.Auts, opts)
+		if err != nil {
+			rt.Close()
+			return nil, nil, 0, err
 		}
-		rt.Close()
+		named := engine.NewNamed(coord, namedSources(asm), namedSinks(asm))
+		return named, func() error {
+			cerr := named.Close()
+			rt.Close()
+			return cerr
+		}, 0, nil
 	case "off":
 		coord, err = engine.New(asm.U, asm.Auts, opts)
 	case "components":
@@ -195,11 +191,6 @@ func (bc *BuiltConn) NewBackend(lane string, seed int64, mutate bool) (b Backend
 	}
 	named := engine.NewNamed(coord, namedSources(asm), namedSinks(asm))
 	return named, named.Close, genBound, nil
-}
-
-func withRuntime(opts engine.Options, rt *engine.Runtime) engine.Options {
-	opts.Runtime = rt
-	return opts
 }
 
 func namedSources(asm *compile.Assembly) map[string][]engine.NamedPort {

@@ -196,7 +196,7 @@ type Outcome struct {
 // RunCfg tunes the driver for the lane's scheduling model.
 type RunCfg struct {
 	// Async marks lanes whose firing happens off the caller goroutines
-	// (WithWorkers / WithRuntime): fixpoint detection then needs a
+	// (WithRuntime): fixpoint detection then needs a
 	// wall-clock quiet window on top of counter stability.
 	Async bool
 	// CloseFn overrides Backend.Close (reo instances recycle through

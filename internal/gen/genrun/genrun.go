@@ -15,8 +15,7 @@
 // regions, shapes that appeared only at other N, connectors edited since
 // generation) silently stay interpreted, so the instance is always
 // correct — generation is a per-region acceleration, not a semantic
-// fork. Batched ports, WithWorkers/WithRuntime scheduling, and the
-// region links all work identically on bound and interpreted regions.
+// fork. Batched ports, WithRuntime scheduling, and the region links all work identically on bound and interpreted regions.
 package genrun
 
 import (
@@ -64,7 +63,6 @@ type Template struct {
 
 type config struct {
 	seed       int64
-	workers    int
 	runtime    *engine.Runtime
 	useRuntime bool
 	funcs      Funcs
@@ -77,12 +75,9 @@ type Option func(*config)
 // derive from it exactly as in the interpreted engine).
 func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
 
-// WithWorkers runs the regions on a dedicated n-worker pool
-// (reo.WithWorkers semantics: 0 = synchronous, <0 = GOMAXPROCS).
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithRuntime attaches the regions to a shared pool instead (nil selects
-// the process-global default). Mutually exclusive with WithWorkers.
+// WithRuntime runs the regions on a caller-owned worker pool (nil
+// selects the process-global default), as reo.WithRuntime does; without
+// it, cross-region progress is driven synchronously.
 func WithRuntime(rt *engine.Runtime) Option {
 	return func(c *config) { c.runtime, c.useRuntime = rt, true }
 }
@@ -164,9 +159,6 @@ func New(src, connector string, n int, templates []*Template, opts ...Option) (*
 	if n < 1 {
 		return nil, fmt.Errorf("%s: array length n=%d must be >= 1 (arrays are nonempty)", connector, n)
 	}
-	if cfg.useRuntime && cfg.workers != 0 {
-		return nil, fmt.Errorf("%s: WithRuntime is mutually exclusive with WithWorkers (a shared runtime brings its own pool)", connector)
-	}
 	if cfg.useRuntime && cfg.runtime == nil {
 		cfg.runtime = engine.DefaultRuntime()
 	}
@@ -233,7 +225,6 @@ func New(src, connector string, n int, templates []*Template, opts ...Option) (*
 	}
 	m, err := engine.NewMultiRegionsBound(asm.U, asm.Auts, engine.Options{
 		Seed:    cfg.seed,
-		Workers: cfg.workers,
 		Runtime: cfg.runtime,
 	}, bind)
 	if err != nil {

@@ -575,7 +575,6 @@ func (m *pModel) emit() ([]byte, error) {
 	p("")
 	p("var (")
 	p("\tWithSeed    = genrun.WithSeed")
-	p("\tWithWorkers = genrun.WithWorkers")
 	p("\tWithRuntime = genrun.WithRuntime")
 	p("\tWithFuncs   = genrun.WithFuncs")
 	p(")")

@@ -148,7 +148,9 @@ func TestParametricDifferentialFabric(t *testing.T) {
 // scheduled) must still agree exactly.
 func TestParametricDifferentialFabricWorkers(t *testing.T) {
 	const n = 4
-	gi, err := fabric.New(n, fabric.WithSeed(diffSeed), fabric.WithWorkers(2))
+	rt := reo.NewRuntime(2)
+	defer rt.Close()
+	gi, err := fabric.New(n, fabric.WithSeed(diffSeed), fabric.WithRuntime(rt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestParametricDifferentialFabricWorkers(t *testing.T) {
 		t.Fatalf("generated drive: %v", err)
 	}
 	twin := interpretedTwin(t, "fabric.reo", "Fabric", map[string]int{"a": n, "b": n},
-		reo.Funcs{}, reo.WithWorkers(2))
+		reo.Funcs{}, reo.WithRuntime(rt))
 	want, err := gendrv.Drive(twin, "many2many", n, diffRounds)
 	if err != nil {
 		t.Fatalf("interpreted drive: %v", err)

@@ -33,7 +33,6 @@ type (
 
 var (
 	WithSeed    = genrun.WithSeed
-	WithWorkers = genrun.WithWorkers
 	WithRuntime = genrun.WithRuntime
 	WithFuncs   = genrun.WithFuncs
 )

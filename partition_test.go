@@ -173,6 +173,8 @@ func runPipelineBatched(t *testing.T, n, items, batch int, opts ...reo.ConnectOp
 func TestBatchedDifferential(t *testing.T) {
 	const n, items = 4, 40
 	wantSink, wantStages := runPipeline(t, n, items, reo.WithSeed(1))
+	rt := reo.NewRuntime(0)
+	defer rt.Close()
 	modes := []struct {
 		name string
 		opts []reo.ConnectOption
@@ -180,9 +182,9 @@ func TestBatchedDifferential(t *testing.T) {
 		{"off", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionOff)}},
 		{"components", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionComponents)}},
 		{"regions", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions)}},
-		// WithWorkers outside PartitionRegions is an eager OptionError now
+		// WithRuntime outside PartitionRegions is an eager OptionError
 		// (api_test.go); only the regions runtimes are exercised here.
-		{"regions+workers", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(-1)}},
+		{"regions+workers", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt)}},
 		{"regions+runtime", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(nil)}},
 		{"regions+runtime+reuse", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(nil), reo.WithReuse(true)}},
 	}
@@ -265,12 +267,14 @@ func TestBatchedDifferentialAlternator(t *testing.T) {
 func TestRegionsDifferentialPipeline(t *testing.T) {
 	const n, items = 4, 40
 	wantSink, wantStages := runPipeline(t, n, items, reo.WithSeed(1))
+	rt := reo.NewRuntime(0)
+	defer rt.Close()
 	modes := []struct {
 		name string
 		opts []reo.ConnectOption
 	}{
 		{"synchronous", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions)}},
-		{"workers", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(-1)}},
+		{"workers", []reo.ConnectOption{reo.WithSeed(1), reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt)}},
 	}
 	for _, m := range modes {
 		gotSink, gotStages := runPipeline(t, n, items, m.opts...)
@@ -334,8 +338,10 @@ func TestRegionsDifferentialAlternator(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("output sequence differs:\nregions: %v\nsingle:  %v\n%s", got, want, reproCmd(t, 7))
 	}
+	rt := reo.NewRuntime(2)
+	defer rt.Close()
 	gotW := runAlternator(t, n, rounds, reo.WithSeed(7),
-		reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(2))
+		reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt))
 	if fmt.Sprint(gotW) != fmt.Sprint(want) {
 		t.Errorf("output sequence differs:\nworkers: %v\nsingle:  %v\n%s", gotW, want, reproCmd(t, 7))
 	}
@@ -349,7 +355,9 @@ func TestWorkersInstanceSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := d.Connect(4, reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(2))
+	rt := reo.NewRuntime(2)
+	defer rt.Close()
+	inst, err := d.Connect(4, reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt))
 	if err != nil {
 		t.Fatal(err)
 	}

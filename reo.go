@@ -166,6 +166,14 @@ type instancePool struct {
 }
 
 func (pl *instancePool) get() *Instance {
+	if rt := pl.cfg.runtime; rt != nil && rt.Closed() {
+		// The parked instances sit on a pool whose workers are gone:
+		// drop them, and let the fresh build report ErrRuntimeClosed.
+		pl.mu.Lock()
+		pl.free = nil
+		pl.mu.Unlock()
+		return nil
+	}
 	pl.mu.Lock()
 	n := len(pl.free)
 	if n == 0 {
@@ -306,7 +314,6 @@ func (c *Connector) Template() *compile.Template { return c.tmpl }
 type connectCfg struct {
 	mode        Mode
 	partition   PartitionMode
-	workers     int
 	expand      ca.ExpandMode
 	cacheSize   int
 	policy      engine.EvictionPolicy
@@ -330,7 +337,7 @@ var ErrInvalidOption = errors.New("reo: invalid connect option")
 // OptionError reports an incompatible or out-of-range Connect option.
 // It wraps ErrInvalidOption.
 type OptionError struct {
-	// Option names the offending option as written ("WithWorkers").
+	// Option names the offending option as written ("WithRuntime").
 	Option string
 	// Reason says what about it is invalid.
 	Reason string
@@ -352,17 +359,8 @@ func (c *connectCfg) validate() error {
 	if c.maxStates < 0 {
 		return &OptionError{Option: "WithMaxStates", Reason: fmt.Sprintf("negative state bound %d", c.maxStates)}
 	}
-	if c.workers != 0 && c.partition != PartitionRegions {
-		return &OptionError{Option: "WithWorkers", Reason: fmt.Sprintf("requires WithPartitioning(PartitionRegions), not %s", c.partition)}
-	}
 	if c.useRuntime && c.partition != PartitionRegions {
 		return &OptionError{Option: "WithRuntime", Reason: fmt.Sprintf("requires WithPartitioning(PartitionRegions), not %s", c.partition)}
-	}
-	if c.useRuntime && c.workers != 0 {
-		return &OptionError{Option: "WithRuntime", Reason: "mutually exclusive with WithWorkers (a shared runtime brings its own pool)"}
-	}
-	if c.reuse && c.workers != 0 {
-		return &OptionError{Option: "WithReuse", Reason: "incompatible with WithWorkers: a dedicated pool is torn down at Close and cannot be recycled; share a pool with WithRuntime instead"}
 	}
 	if c.remote != nil {
 		if c.partition != PartitionRegions {
@@ -421,63 +419,56 @@ func WithPartitioning(mode PartitionMode) ConnectOption {
 	return func(c *connectCfg) { c.partition = mode }
 }
 
-// WithWorkers runs the regions of a PartitionRegions instance on an
-// n-worker scheduler: cross-region wake-ups are posted to a worker pool
-// (a work-stealing run queue keyed by region) instead of being drained
-// inline on the goroutine whose Send/Recv fired, so the regions of one
-// connector occupy up to n cores concurrently.
+// Runtime is a worker pool multiplexing the regions of any number of
+// connector instances over one fixed set of goroutines. Build one with
+// NewRuntime (and Close it), or let WithRuntime(nil) use the
+// process-global default.
+type Runtime = engine.Runtime
+
+// NewRuntime starts a runtime with the given number of workers (<= 0
+// selects GOMAXPROCS). The caller owns it: Close it only after every
+// instance attached to it has been closed. An instance wanting a
+// private pool pairs it with WithRuntime:
 //
-// n = 0 (the default) keeps today's synchronous draining: all region
-// fires run on the callers' goroutines, which preserves the strongest
-// reproducibility (with WithSeed and deterministic task order, whole
-// runs replay exactly) and avoids pool overhead for connectors whose
-// regions are short or serial. n < 0 selects runtime.GOMAXPROCS(0).
-// The pool is capped at the region count. Connect fails with an
-// OptionError unless WithPartitioning(PartitionRegions) is in effect;
-// it is also mutually exclusive with WithRuntime (a shared runtime
-// brings its own pool) and with WithReuse (a dedicated pool is torn
-// down at Close, so the instance cannot be recycled).
+//	rt := reo.NewRuntime(n)
+//	defer rt.Close()
+//	inst, err := conn.Connect(lengths, reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt))
+func NewRuntime(workers int) *Runtime { return engine.NewRuntime(workers) }
+
+// DefaultRuntime returns the process-global runtime backing
+// WithRuntime(nil), starting its GOMAXPROCS workers on first use. It is
+// never shut down.
+func DefaultRuntime() *Runtime { return engine.DefaultRuntime() }
+
+// ErrRuntimeClosed is the error Connect (and a WithReuse recycle)
+// returns when the instance's Runtime has already been closed.
+var ErrRuntimeClosed = engine.ErrRuntimeClosed
+
+// WithRuntime runs the regions of a PartitionRegions instance on a
+// worker pool: cross-region wake-ups are posted to the pool's workers (a
+// work-stealing run queue keyed by region) instead of being drained
+// inline on the goroutine whose Send/Recv fired, so the regions of one
+// connector occupy up to the pool's size in cores. The instance
+// attaches at Connect and detaches at Close, so N live instances are
+// multiplexed over one fixed set of workers and Connect/Close churn
+// spawns no goroutines. rt == nil selects the process-global
+// DefaultRuntime. Connect fails with an OptionError unless
+// WithPartitioning(PartitionRegions) is in effect, and with
+// ErrRuntimeClosed if rt has been closed.
+//
+// Without WithRuntime, all region fires run on the callers' goroutines,
+// which preserves the strongest reproducibility (with WithSeed and
+// deterministic task order, whole runs replay exactly) and avoids pool
+// overhead for connectors whose regions are short or serial.
 //
 // Determinism: per-port delivered sequences of deterministic protocols
 // are identical in both modes (the differential tests pin this); the
 // interleaving across regions, and therefore the choices of protocols
 // that race cross-region timing, follow the scheduler. Each region
 // still resolves its local nondeterminism from WithSeed + its region
-// index, and the per-worker τ budget mirrors the synchronous walk's
-// livelock guard (MaxTauBurst).
-func WithWorkers(n int) ConnectOption {
-	return func(c *connectCfg) { c.workers = n }
-}
-
-// Runtime is a shared worker pool multiplexing the regions of many
-// connector instances over one fixed set of goroutines — the
-// serving-many-instances counterpart of the per-instance pool
-// WithWorkers starts. Build one with NewRuntime, or let WithRuntime(nil)
-// use the process-global default.
-type Runtime = engine.Runtime
-
-// NewRuntime starts a shared runtime with the given number of workers
-// (<= 0 selects GOMAXPROCS). Close it only after every instance
-// attached to it has been closed.
-func NewRuntime(workers int) *Runtime { return engine.NewRuntime(workers) }
-
-// DefaultRuntime returns the process-global shared runtime backing
-// WithRuntime(nil), starting its GOMAXPROCS workers on first use. It is
-// never shut down.
-func DefaultRuntime() *Runtime { return engine.DefaultRuntime() }
-
-// WithRuntime runs the regions of a PartitionRegions instance on a
-// shared Runtime instead of a dedicated pool: the instance attaches at
-// Connect and detaches at Close, so N live instances are multiplexed
-// over one fixed set of workers — and Connect/Close churn spawns no
-// goroutines. rt == nil selects the process-global DefaultRuntime.
-//
-// Execution semantics match WithWorkers (wake-up posting, stealing,
-// per-region seeds, the τ-livelock budget — scoped per instance, so one
-// instance's throughput never masks another's livelock); only pool
-// ownership differs. Connect fails with an OptionError unless
-// WithPartitioning(PartitionRegions) is in effect, or if WithWorkers is
-// also set.
+// index, and a per-instance τ budget mirrors the synchronous walk's
+// livelock guard (MaxTauBurst), so one instance's throughput never
+// masks another's livelock.
 func WithRuntime(rt *Runtime) ConnectOption {
 	return func(c *connectCfg) { c.runtime, c.useRuntime = rt, true }
 }
@@ -494,7 +485,8 @@ func WithRuntime(rt *Runtime) ConnectOption {
 // caller. Counters read as freshly zeroed on the recycled instance and
 // the choice stream replays from the seed; only Expansions can differ
 // from a truly fresh instance (the composite-state cache stays warm).
-// Incompatible with WithWorkers (see WithRuntime).
+// A parked instance whose Runtime has since been closed is dropped, not
+// handed out.
 func WithReuse(on bool) ConnectOption {
 	return func(c *connectCfg) { c.reuse = on }
 }
@@ -683,7 +675,6 @@ func buildCoordinator(asm *compile.Assembly, name string, cfg *connectCfg) (engi
 		Policy:    cfg.policy,
 		Seed:      cfg.seed,
 		MaxStates: cfg.maxStates,
-		Workers:   cfg.workers,
 		Runtime:   cfg.runtime,
 	}
 	switch cfg.mode {
@@ -873,7 +864,7 @@ func (i *Instance) Partitions() int {
 }
 
 // Workers returns the size of the scheduler pool the instance's regions
-// fire on (see WithWorkers), or 0 when cross-region progress is driven
+// fire on (see WithRuntime), or 0 when cross-region progress is driven
 // synchronously by the tasks' own goroutines.
 func (i *Instance) Workers() int {
 	if m, ok := i.coord.(*engine.Multi); ok {
@@ -892,7 +883,7 @@ type RegionInfo struct {
 	// (0 unless PartitionRegions cut a buffer at its boundary).
 	Links int
 	// Worker is the scheduler worker the region's run queue is keyed to
-	// under WithWorkers (idle workers may steal it), or -1 when the
+	// under WithRuntime (idle workers may steal it), or -1 when the
 	// instance runs without a worker pool.
 	Worker int
 	// Steps/Expansions/GuardEvals are the partition's share of the

@@ -9,7 +9,7 @@
 // flat in GOMAXPROCS; PartitionRegions fires each region on its own
 // lock, so pipeline stages and ring segments proceed concurrently; the
 // "workers" variant additionally posts cross-region nudges to a
-// GOMAXPROCS worker pool (reo.WithWorkers) so region fires are not
+// GOMAXPROCS worker pool (reo.NewRuntime + reo.WithRuntime) so region fires are not
 // serialized on the nudging goroutine either.
 package reo_test
 
@@ -95,6 +95,8 @@ func driveReceivers(inst *reo.Instance, param string) func() {
 
 func BenchmarkRegionScaling(b *testing.B) {
 	const n = 8
+	rt := reo.NewRuntime(0)
+	defer rt.Close()
 	modes := []struct {
 		name string
 		opts []reo.ConnectOption
@@ -106,7 +108,7 @@ func BenchmarkRegionScaling(b *testing.B) {
 		// GOMAXPROCS-sized pool instead of inline draining, so region
 		// fires occupy every core (compare against "regions" at -cpu 4,8
 		// for the scaling the scheduler buys).
-		{"workers", []reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithWorkers(-1)}},
+		{"workers", []reo.ConnectOption{reo.WithPartitioning(reo.PartitionRegions), reo.WithRuntime(rt)}},
 	}
 
 	type setup struct {
